@@ -13,7 +13,11 @@ EMU_BENCH_REPORT ?= BENCH_emu.json
 ALLOC_BUDGET ?= alloc_budget.json
 ALLOC_DRIFT ?= alloc_drift.json
 
-.PHONY: build test race race-short debug lint fuzz fuzz-directives vet bench-smoke bench-json faults-smoke alloccheck alloccheck-update verify
+# The repository benchmark's gated workloads (BENCHMARK.json).
+PERFBENCH_WORKLOADS = torus-pareto torus-flaps emu-rack
+PERFBENCH_SECONDS ?= 30
+
+.PHONY: build test race race-short debug lint fuzz fuzz-directives vet bench-smoke bench-json faults-smoke alloccheck alloccheck-update perfbench perfbench-smoke verify
 
 build:
 	$(GO) build ./...
@@ -97,5 +101,22 @@ faults-smoke:
 	@cat $(FAULTS_REPORT)
 	@echo "faults-smoke: wrote $(FAULTS_REPORT)"
 
-verify: build vet lint test race debug alloccheck bench-smoke faults-smoke
+# The repository benchmark (perfbench/README.md): one untraced run of each
+# gated workload, printing its JSON result line. A run whose output checks
+# fail prints "correct":false and fails the target.
+perfbench:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		out=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds $(PERFBENCH_SECONDS) --trace 0 | tail -n 1); \
+		echo "$$w $$out"; \
+		case "$$out" in *'"correct":true'*) ;; *) echo "perfbench: $$w is not correct"; exit 1;; esac; \
+	done
+
+# The benchmark harness's own tests, then a short run of every gated
+# workload: catches a program change that breaks a workload's output
+# checks without paying for a measurement.
+perfbench-smoke:
+	cd perfbench && $(GO) test .
+	@$(MAKE) --no-print-directory perfbench PERFBENCH_SECONDS=5
+
+verify: build vet lint test race debug alloccheck bench-smoke faults-smoke perfbench-smoke
 	@echo verify: OK

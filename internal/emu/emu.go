@@ -139,8 +139,9 @@ type Rack struct {
 }
 
 // fabricState is the routing state of one fabric generation: the table and
-// broadcast FIB built over the (possibly degraded) graph, the mapping from
-// its link IDs back to physical ports, and the set of crashed nodes.
+// broadcast FIB built over the (possibly degraded) graph (its trees already
+// hold physical port IDs), the mapping from the table's link IDs back to
+// physical ports, and the set of crashed nodes.
 type fabricState struct {
 	tab     *routing.Table
 	fib     *topology.BroadcastFIB
@@ -148,21 +149,8 @@ type fabricState struct {
 	dead    map[topology.NodeID]bool
 }
 
-// phys translates a path of fabric link IDs to physical link IDs, copying
-// when a translation is needed (FIB/Phi caches must stay pristine).
-func (st *fabricState) phys(path []topology.LinkID) []topology.LinkID {
-	if st.linkMap == nil {
-		return path
-	}
-	//lint:ignore alloc-hotpath only taken on a degraded fabric; the FIB/Phi caches the path aliases must stay pristine
-	out := make([]topology.LinkID, len(path))
-	for i, lid := range path {
-		out[i] = st.linkMap[lid]
-	}
-	return out
-}
-
-// physInPlace is phys overwriting a buffer the caller owns.
+// physInPlace translates a path of fabric link IDs to physical link IDs,
+// overwriting a buffer the caller owns (Phi caches must stay pristine).
 func (st *fabricState) physInPlace(path []topology.LinkID) {
 	if st.linkMap == nil {
 		return
@@ -532,7 +520,7 @@ func (r *Rack) forwardBroadcast(at, src topology.NodeID, tree uint8, pkt emuPkt)
 		r.drops.Add(1)
 		return
 	}
-	for _, lid := range st.phys(hops) {
+	for _, lid := range hops { // the FIB stores physical port IDs
 		pkt.retain()
 		r.enqueue(lid, pkt)
 	}

@@ -231,7 +231,7 @@ func (r *Rack) swapFabric() {
 		}
 		st = &fabricState{
 			tab:     routing.NewTable(sub),
-			fib:     topology.NewBroadcastFIB(sub, r.cfg.TreesPerSource, r.cfg.Seed),
+			fib:     topology.NewBroadcastFIBWithLinkMap(sub, r.cfg.TreesPerSource, r.cfg.Seed, mapping),
 			linkMap: mapping,
 			dead:    dead,
 		}

@@ -214,14 +214,14 @@ func pickRobustSchedule(t *testing.T, g *topology.Graph, cfg faults.GenConfig, m
 		}
 		events := sched.Sorted()
 		ok := true
-		for _, a := range events {
+		for i, a := range events {
 			if a.Kind == faults.LinkDrop {
 				continue // never fires a rebuild
 			}
 			fire := a.At + a.Detect
-			for _, b := range events {
-				if b.Kind == faults.LinkDrop {
-					continue
+			for j, b := range events {
+				if j == i || b.Kind == faults.LinkDrop {
+					continue // a fire always covers its own injection
 				}
 				d := fire - b.At
 				if d < 0 {

@@ -33,10 +33,10 @@ func TestEmissionStampComparator(t *testing.T) {
 			eng.Schedule(T, record(1))
 			// A handoff emitted at 10 in another shard: despite its larger
 			// sequence number it precedes the local event at the tie.
-			eng.scheduleHandoff(T, 10, event{kind: evFunc, fn: record(2)})
+			eng.scheduleHandoff(T, 10, event{kind: evFunc, target: record(2)})
 			// A handoff emitted at exactly 50 ties with the local event on
 			// emission time and falls back to sequence order (local first).
-			eng.scheduleHandoff(T, 50, event{kind: evFunc, fn: record(3)})
+			eng.scheduleHandoff(T, 50, event{kind: evFunc, target: record(3)})
 			eng.Run(T)
 			want := []int{2, 1, 3}
 			if len(order) != len(want) {
@@ -98,7 +98,7 @@ func TestCrossShardEmissionTieBreak(t *testing.T) {
 	local.SizeBytes = 64
 	local.Flow = flowLocal
 	local.Dst = 0
-	dst.eng.schedule(T, event{kind: evArrive, node: 0, pkt: local})
+	dst.eng.schedule(T, event{kind: evArrive, id: 0, pkt: local})
 
 	push := func(src int, emit simtime.Time, flow wire.FlowID) {
 		h := sr.shards[src].ctx.out[0].push()

@@ -34,8 +34,11 @@ const (
 )
 
 // event is one scheduled typed record. Only the fields its kind names are
-// meaningful; events are stored by value in the engine's heap, so pushing
-// one never boxes through an interface or captures a closure.
+// meaningful; events are stored by value in the engine's schedule, so
+// pushing one never boxes a value or captures a closure. The record is
+// kept at 64 bytes (TestEventRecordSize): the scheduler copies it on every
+// arm and pop, and Go copies records up to 64 bytes with inline moves but
+// larger ones through a runtime block copy.
 type event struct {
 	at  simtime.Time
 	seq uint64 // FIFO tie-break for equal timestamps: determinism
@@ -52,15 +55,17 @@ type event struct {
 	// emission order on exact-picosecond cross-shard ties.
 	emit simtime.Time
 
+	u64 uint64  // evRTO/evTCPRTO: timer generation
+	pkt *Packet // evTxDone, evArrive
+	// target is the receiver of the events that are not packet-borne:
+	// *senderFlow (evSend, evRTO), *tcpSender (evTCPRTO) or func()
+	// (evFunc). All three are pointer-shaped, so storing one boxes nothing.
+	target any
+	// id names the packet event's place in the fabric: the receiving node
+	// for evArrive, the transmitting link (Network.ports index) for
+	// evTxDone.
+	id   int32
 	kind eventKind
-	node topology.NodeID // evArrive: receiving node
-	u64  uint64          // evRTO/evTCPRTO: timer generation
-	pkt  *Packet         // evTxDone, evArrive
-	port *port           // evTxDone
-	rn   *r2c2Node       // evSend, evRTO
-	sf   *senderFlow     // evSend, evRTO
-	ts   *tcpSender      // evTCPRTO
-	fn   func()          // evFunc
 }
 
 // Engine is a deterministic discrete-event scheduler with a picosecond
@@ -119,7 +124,7 @@ func (e *Engine) Processed() uint64 { return e.count }
 // Schedule runs fn at the given absolute time. Scheduling in the past
 // panics: it would silently corrupt causality.
 func (e *Engine) Schedule(at simtime.Time, fn func()) {
-	e.schedule(at, event{kind: evFunc, fn: fn})
+	e.schedule(at, event{kind: evFunc, target: fn})
 }
 
 // After schedules fn delay from now. A delay that would overflow
@@ -127,7 +132,7 @@ func (e *Engine) Schedule(at simtime.Time, fn func()) {
 // would otherwise surface as a misleading scheduled-in-the-past panic —
 // or, were the past-check ever relaxed, silently corrupt event order).
 func (e *Engine) After(delay simtime.Time, fn func()) {
-	e.after(delay, event{kind: evFunc, fn: fn})
+	e.after(delay, event{kind: evFunc, target: fn})
 }
 
 // schedule files a typed event record at an absolute time and returns its
@@ -265,7 +270,7 @@ func (e *Engine) Run(until simtime.Time) uint64 {
 	start := e.count
 	for {
 		idx := e.wheel.peek()
-		if idx == 0 || e.wheel.nodes[idx-1].ev.at > until {
+		if idx == 0 || e.wheel.staged[0].at > until {
 			break
 		}
 		ev := e.wheel.pop()
@@ -275,7 +280,7 @@ func (e *Engine) Run(until simtime.Time) uint64 {
 		}
 		e.now = ev.at
 		e.count++
-		e.dispatch(ev)
+		e.dispatch(&ev)
 		if e.stopReq {
 			e.stopReq = false
 			return e.count - start
@@ -292,23 +297,24 @@ func (e *Engine) Run(until simtime.Time) uint64 {
 // Calling it outside a dispatch is meaningless and therefore a bug.
 func (e *Engine) requestStop() { e.stopReq = true }
 
-// dispatch routes one popped event to its typed receiver.
+// dispatch routes one popped event to its typed receiver. It takes the
+// record by pointer: the caller's copy is the only one a pop makes.
 //
 //r2c2:hotpath
-func (e *Engine) dispatch(ev event) {
+func (e *Engine) dispatch(ev *event) {
 	switch ev.kind {
 	case evFunc:
-		ev.fn()
+		ev.target.(func())()
 	case evTxDone:
-		e.net.transmitDone(ev.port, ev.pkt)
+		e.net.transmitDone(e.net.ports[ev.id], ev.pkt)
 	case evArrive:
-		e.net.arrive(ev.node, ev.pkt)
+		e.net.arrive(topology.NodeID(ev.id), ev.pkt)
 	case evSend:
-		e.r2.sendNext(ev.rn, ev.sf)
+		e.r2.sendNext(ev.target.(*senderFlow))
 	case evRTO:
-		e.r2.onRTO(ev.rn, ev.sf, ev.u64)
+		e.r2.onRTO(ev.target.(*senderFlow), ev.u64)
 	case evTCPRTO:
-		e.tcp.onRTO(ev.ts, ev.u64)
+		e.tcp.onRTO(ev.target.(*tcpSender), ev.u64)
 	}
 }
 
@@ -326,7 +332,7 @@ func (e *Engine) runHeap(until simtime.Time) uint64 {
 		}
 		e.now = ev.at
 		e.count++
-		e.dispatch(ev)
+		e.dispatch(&ev)
 		if e.stopReq {
 			e.stopReq = false
 			return e.count - start

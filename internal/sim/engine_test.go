@@ -2,6 +2,7 @@ package sim
 
 import (
 	"testing"
+	"unsafe"
 
 	"r2c2/internal/simtime"
 )
@@ -150,5 +151,13 @@ func TestEngineProcessedCount(t *testing.T) {
 	}
 	if eng.Processed() != 7 {
 		t.Fatalf("Processed = %d", eng.Processed())
+	}
+}
+
+// The event record is copied on every arm and pop; above 64 bytes Go copies
+// it through a runtime block copy instead of inline moves.
+func TestEventRecordSize(t *testing.T) {
+	if sz := unsafe.Sizeof(event{}); sz > 64 {
+		t.Fatalf("event record is %d bytes, want <= 64", sz)
 	}
 }

@@ -525,7 +525,7 @@ func (n *Network) transmit(p *port) {
 	p.busy = true
 	p.queued -= pkt.SizeBytes
 	txTime := simtime.TransmitTime(pkt.SizeBytes, n.Cfg.LinkGbps)
-	n.Eng.after(txTime, event{kind: evTxDone, port: p, pkt: pkt})
+	n.Eng.after(txTime, event{kind: evTxDone, id: int32(p.id), pkt: pkt})
 }
 
 // propDelay returns the propagation latency of a directed link: the
@@ -560,7 +560,7 @@ func (n *Network) transmitDone(p *port, pkt *Packet) {
 	if n.sh != nil && n.sh.shardOf[p.to] != n.sh.self {
 		n.exportPacket(n.sh.shardOf[p.to], n.Eng.now+prop, p.to, pkt)
 	} else {
-		n.Eng.after(prop, event{kind: evArrive, node: p.to, pkt: pkt})
+		n.Eng.after(prop, event{kind: evArrive, id: int32(p.to), pkt: pkt})
 	}
 	n.transmit(p)
 }

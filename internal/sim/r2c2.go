@@ -85,8 +85,9 @@ type R2C2 struct {
 	gen uint64
 
 	// Failure state (§3.2, "Failures"): after detection, Tab/Fib/rc are
-	// rebuilt over the degraded fabric and linkMap translates its link IDs
-	// back to physical ports. nil linkMap means the fabric is intact.
+	// rebuilt over the degraded fabric and linkMap translates Tab's link IDs
+	// back to physical ports (the Fib applies it once per source at build
+	// time and stores physical IDs). nil linkMap means the fabric is intact.
 	//
 	// The degraded fabric is always recomputed at detection-FIRE time from
 	// the accumulated failedLinks/deadNodes union, never from a snapshot
@@ -122,6 +123,16 @@ type R2C2 struct {
 	// round. It persists across ticks (cleared, not reallocated) so the
 	// periodic recomputation stays off the per-tick allocation budget.
 	tickCache map[uint64]*core.Allocation
+
+	// finished remembers which nodes have applied each flow's finish
+	// broadcast, so that a §3.2-retransmitted start arriving after the
+	// finish cannot resurrect a dead flow in that node's view. finished[src]
+	// is a bitset of finWords words per flow sequence number: node at's bit
+	// for flow (src, seq) is in word seq·finWords + at/64. A finish flood
+	// sets one bit per node it reaches, all within one flow's adjacent
+	// words, so the broadcast hop pays no hash probe or map growth.
+	finished [][]uint64
+	finWords int
 
 	// flowIDScratch is the reusable key buffer for sorted iteration over a
 	// node's flow map: recomputeTick and rerouteNow schedule events per
@@ -161,10 +172,6 @@ type r2c2Node struct {
 	// independent of global event interleaving, so the sharded engine draws
 	// the same routes as the serial one.
 	rng *rand.Rand
-	// tombstones remembers finish events so that a §3.2-retransmitted
-	// start broadcast arriving after the finish cannot resurrect a dead
-	// flow in this node's view.
-	tombstones map[wire.FlowID]bool
 }
 
 type senderFlow struct {
@@ -248,13 +255,14 @@ func NewR2C2(net *Network, tab *routing.Table, cfg R2C2Config) *R2C2 {
 			continue // another shard owns this node's state
 		}
 		r.nodes[i] = &r2c2Node{
-			id:         topology.NodeID(i),
-			view:       core.NewView(),
-			flows:      make(map[wire.FlowID]*senderFlow),
-			recv:       make(map[wire.FlowID]*reorderState),
-			tombstones: make(map[wire.FlowID]bool),
+			id:    topology.NodeID(i),
+			view:  core.NewView(),
+			flows: make(map[wire.FlowID]*senderFlow),
+			recv:  make(map[wire.FlowID]*reorderState),
 		}
 	}
+	r.finished = make([][]uint64, net.G.Nodes())
+	r.finWords = (net.G.Nodes() + 63) / 64
 	r.failedLinks = make(map[topology.LinkID]bool)
 	r.deadNodes = make(map[topology.NodeID]bool)
 	net.Deliver = r.deliver
@@ -321,22 +329,10 @@ func (r *R2C2) reflood(origin topology.NodeID, b *wire.Broadcast, retries uint8)
 	r.Net.InjectBroadcast(origin, cp)
 }
 
-// phys translates a path expressed in the current fabric's link IDs to
-// physical port IDs. Identity while the fabric is intact.
-func (r *R2C2) phys(path []topology.LinkID) []topology.LinkID {
-	if r.linkMap == nil {
-		return path
-	}
-	out := make([]topology.LinkID, len(path))
-	for i, lid := range path {
-		out[i] = r.linkMap[lid]
-	}
-	return out
-}
-
-// physInPlace is phys overwriting the slice itself: only for buffers the
+// physInPlace translates a path expressed in the current fabric's link IDs
+// to physical port IDs, overwriting the slice itself: only for buffers the
 // caller owns (a packet's sampling scratch or an interned copy), never for
-// cached Phi or successor paths.
+// cached Phi or successor paths. Identity while the fabric is intact.
 func (r *R2C2) physInPlace(path []topology.LinkID) {
 	if r.linkMap == nil {
 		return
@@ -508,7 +504,7 @@ func (r *R2C2) reroute(sub *topology.Graph, mapping []topology.LinkID) {
 		}
 	}
 	r.Tab = routing.NewTable(sub)
-	r.Fib = topology.NewBroadcastFIB(sub, r.Cfg.TreesPerSource, r.Cfg.Seed)
+	r.Fib = topology.NewBroadcastFIBWithLinkMap(sub, r.Cfg.TreesPerSource, r.Cfg.Seed, mapping)
 	r.linkMap = mapping
 	r.rc = core.NewRateComputer(r.Tab, r.Net.Cfg.LinkGbps*1e9, r.Cfg.Headroom)
 	r.agg = nil // recreated lazily over the new Tab (computeGlobal)
@@ -660,7 +656,28 @@ func (r *R2C2) broadcastHops(at topology.NodeID, pkt *Packet) []topology.LinkID 
 		// that missed it).
 		return nil
 	}
-	return r.phys(hops)
+	return hops // the FIB stores physical port IDs
+}
+
+// finishedAt reports whether node at has applied flow f's finish broadcast.
+func (r *R2C2) finishedAt(f wire.FlowID, at topology.NodeID) bool {
+	bits := r.finished[f.Src()]
+	i := int(f.Seq())*r.finWords + int(at)>>6
+	return i < len(bits) && bits[i]&(1<<(uint(at)&63)) != 0
+}
+
+// markFinished records that node at has applied flow f's finish broadcast.
+func (r *R2C2) markFinished(f wire.FlowID, at topology.NodeID) {
+	bits := r.finished[f.Src()]
+	i := int(f.Seq())*r.finWords + int(at)>>6
+	if i >= len(bits) {
+		// Cover the flow's words; append's growth amortises a source's
+		// sequence numbers arriving in order.
+		//lint:ignore alloc-hotpath amortised growth: one flow's bits are allocated once, by its first finish
+		bits = append(bits, make([]uint64, (int(f.Seq())+1)*r.finWords-len(bits))...)
+		r.finished[f.Src()] = bits
+	}
+	bits[i] |= 1 << (uint(at) & 63)
 }
 
 // armSender schedules the flow's next packet transmission according to its
@@ -677,7 +694,7 @@ func (r *R2C2) armSender(node *r2c2Node, sf *senderFlow) {
 		return
 	}
 	sf.armed = true
-	r.Net.Eng.after(0, event{kind: evSend, rn: node, sf: sf})
+	r.Net.Eng.after(0, event{kind: evSend, target: sf})
 }
 
 // fillPath sets pkt.Path to the flow's source route, already translated to
@@ -699,7 +716,10 @@ func (r *R2C2) fillPath(node *r2c2Node, pkt *Packet, sf *senderFlow) {
 	pkt.Path = pkt.scratch
 }
 
-func (r *R2C2) sendNext(node *r2c2Node, sf *senderFlow) {
+// sendNext is the evSend handler: transmit sf's next packet from its
+// source node.
+func (r *R2C2) sendNext(sf *senderFlow) {
+	node := r.nodes[sf.info.Src]
 	sf.armed = false
 	if _, live := node.flows[sf.info.ID]; !live {
 		return // abandoned (node failure purge) or already finished
@@ -766,7 +786,7 @@ func (r *R2C2) sendNext(node *r2c2Node, sf *senderFlow) {
 		gap = 1
 	}
 	sf.armed = true
-	r.Net.Eng.after(gap, event{kind: evSend, rn: node, sf: sf})
+	r.Net.Eng.after(gap, event{kind: evSend, target: sf})
 }
 
 // finishSender retires a flow at its source and broadcasts the finish.
@@ -784,7 +804,7 @@ func (r *R2C2) armRTO(node *r2c2Node, sf *senderFlow) {
 	}
 	sf.rtoArmed = true
 	sf.rtoSeq++
-	sf.rtoTimer = r.Net.Eng.after(r.Cfg.RTO, event{kind: evRTO, rn: node, sf: sf, u64: sf.rtoSeq})
+	sf.rtoTimer = r.Net.Eng.after(r.Cfg.RTO, event{kind: evRTO, target: sf, u64: sf.rtoSeq})
 }
 
 // disarmRTO invalidates a pending retransmission timer. Under the wheel
@@ -799,10 +819,11 @@ func (r *R2C2) disarmRTO(sf *senderFlow) {
 
 // onRTO pulls the send pointer back to the cumulative-ack point: go-back-N
 // retransmission, paced at the flow's allocated rate like any other data.
-func (r *R2C2) onRTO(node *r2c2Node, sf *senderFlow, seq uint64) {
+func (r *R2C2) onRTO(sf *senderFlow, seq uint64) {
 	if sf.rtoSeq != seq || !sf.rtoArmed {
 		return
 	}
+	node := r.nodes[sf.info.Src]
 	sf.rtoArmed = false
 	if _, live := node.flows[sf.info.ID]; !live || sf.cumAcked >= sf.totalPkts {
 		return
@@ -856,16 +877,15 @@ func (r *R2C2) deliver(at topology.NodeID, pkt *Packet) {
 			// The origin mutated its own view before broadcasting (§3.1).
 			return
 		}
-		node := r.nodes[at]
 		switch pkt.Bcast.Event {
 		case wire.EventFlowFinish:
-			node.tombstones[pkt.Bcast.Flow()] = true
+			r.markFinished(pkt.Bcast.Flow(), at)
 		case wire.EventFlowStart:
-			if node.tombstones[pkt.Bcast.Flow()] {
+			if r.finishedAt(pkt.Bcast.Flow(), at) {
 				return // a retransmitted start racing its own finish
 			}
 		}
-		if err := node.view.Apply(pkt.Bcast); err != nil {
+		if err := r.nodes[at].view.Apply(pkt.Bcast); err != nil {
 			panic(err)
 		}
 	case KindData:
@@ -926,6 +946,13 @@ func (r *R2C2) receiveData(at topology.NodeID, pkt *Packet) {
 		// backing array by reference and must keep their pre-failure
 		// snapshot (same reason fillPath's DOR branch allocates anew).
 		if rs.ackPath == nil || rs.ackGen != r.gen {
+			if r.Tab.Graph().Dist(pkt.Dst, pkt.Src) < 0 {
+				// The sender crashed and the rebuilt fabric no longer
+				// reaches it: this data left it before the crash and
+				// arrived after the reroute. There is no route for an ack
+				// and no sender left to take one.
+				return
+			}
 			rs.ackPath = append([]topology.LinkID(nil), r.Tab.Phi(routing.DOR, pkt.Dst, pkt.Src).Links...)
 			r.physInPlace(rs.ackPath)
 			rs.ackGen = r.gen

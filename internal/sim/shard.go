@@ -197,7 +197,7 @@ func (st *shardState) applyTick() {
 func (st *shardState) ingest(h *handoff) {
 	if h.ctrl {
 		origin, b, retries := h.node, h.bcast, h.retries
-		st.eng.scheduleHandoff(h.at, h.emit, event{kind: evFunc, fn: func() {
+		st.eng.scheduleHandoff(h.at, h.emit, event{kind: evFunc, target: func() {
 			st.r2.reflood(origin, b, retries)
 		}})
 		return
@@ -221,7 +221,7 @@ func (st *shardState) ingest(h *handoff) {
 		pkt.scratch = append(pkt.scratch[:0], h.path...)
 		pkt.Path = pkt.scratch
 	}
-	st.eng.scheduleHandoff(h.at, h.emit, event{kind: evArrive, node: h.node, pkt: pkt})
+	st.eng.scheduleHandoff(h.at, h.emit, event{kind: evArrive, id: int32(h.node), pkt: pkt})
 }
 
 // ShardStat reports one shard's execution statistics (Results.ShardStats).

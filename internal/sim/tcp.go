@@ -169,7 +169,7 @@ func (t *TCP) armRTO(s *tcpSender) {
 	if rto < t.Cfg.MinRTO {
 		rto = t.Cfg.MinRTO
 	}
-	s.rtoTimer = t.Net.Eng.after(rto, event{kind: evTCPRTO, ts: s, u64: s.rtoSeq})
+	s.rtoTimer = t.Net.Eng.after(rto, event{kind: evTCPRTO, target: s, u64: s.rtoSeq})
 }
 
 // disarmRTO invalidates a pending timeout: the wheel removes the event

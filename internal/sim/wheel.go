@@ -57,8 +57,8 @@ const (
 
 // evDead marks a staged node whose timer was cancelled after staging: it
 // cannot be unlinked from the middle of the staging heap in O(1), so it is
-// tombstoned (kept only for its (at, seq) heap position) and freed when it
-// surfaces. Unlike the legacy heap's tombstones this is transient — a node
+// tombstoned (its heap position is held by the staging entry's inline key)
+// and freed when it surfaces. Unlike the legacy heap's tombstones this is transient — a node
 // is only ever staged within one level-0 slot of firing.
 const evDead eventKind = 0xff
 
@@ -97,10 +97,21 @@ type timerWheel struct {
 	head [wheelLevels][wheelSlots]uint32
 	occ  [wheelLevels][wheelSlots / 64]uint64
 
-	// staged is a binary min-heap of 1-based node indices ordered by
-	// (at, seq): the events of the current level-0 slot, dispatched in
-	// exact heap order.
-	staged []int32
+	// staged is a binary min-heap over the events of the current level-0
+	// slot, dispatched in exact (at, emit, seq) order. Each entry carries
+	// its ordering key inline, so sifting compares adjacent entries
+	// instead of chasing node indices into the arena.
+	staged []stageKey
+}
+
+// stageKey is one staging-heap entry: an event's ordering key and the
+// 1-based arena index of its node. seq is unique per engine, so no two
+// keys compare equal and the heap order is total.
+type stageKey struct {
+	at   simtime.Time
+	emit simtime.Time
+	seq  uint64
+	idx  int32
 }
 
 // alloc takes a node off the free list, growing the arena by a chunk when
@@ -158,7 +169,7 @@ func (w *timerWheel) place(idx int32, n *timerNode) {
 	s0 := int64(n.ev.at) >> wheelShift
 	if s0 <= w.cur {
 		n.level = stagedLevel
-		w.stagePush(idx)
+		w.stagePush(idx, n)
 		return
 	}
 	// Highest differing bit picks the level, so the slot position is
@@ -208,10 +219,10 @@ func (w *timerWheel) cancel(h timerHandle) bool {
 	}
 	w.count--
 	if n.level == stagedLevel {
-		// Mid-heap removal is not O(1); tombstone the node in place. Only
-		// the ordering keys survive — references are dropped immediately.
-		at, emit, seq := n.ev.at, n.ev.emit, n.ev.seq
-		n.ev = event{at: at, emit: emit, seq: seq, kind: evDead}
+		// Mid-heap removal is not O(1); tombstone the node in place. Its
+		// ordering key lives in the staging entry, so references are
+		// dropped immediately.
+		n.ev = event{seq: n.ev.seq, kind: evDead}
 		return true
 	}
 	w.unlink(h.idx, n)
@@ -223,65 +234,78 @@ func (w *timerWheel) cancel(h timerHandle) bool {
 // scheduler's exact comparator. Slots bucket by timestamp range only, so
 // refining the within-slot order is safe; see Engine.less for why the
 // emission key leaves serial dispatch order untouched.
-func (w *timerWheel) stageLess(a, b int32) bool {
-	na, nb := &w.nodes[a-1], &w.nodes[b-1]
-	if na.ev.at != nb.ev.at {
-		return na.ev.at < nb.ev.at
+func stageLess(a, b *stageKey) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	if na.ev.emit != nb.ev.emit {
-		return na.ev.emit < nb.ev.emit
+	if a.emit != b.emit {
+		return a.emit < b.emit
 	}
-	return na.ev.seq < nb.ev.seq
+	return a.seq < b.seq
 }
 
-func (w *timerWheel) stagePush(idx int32) {
+// stagePush adds node idx to the staging heap, sifting a hole up from the
+// tail and writing the new key once where it settles.
+func (w *timerWheel) stagePush(idx int32, n *timerNode) {
 	if w.staged == nil {
 		// Pre-size the staging heap once; it keeps its capacity across
 		// slots, so a wheel that never stages more than 64 same-slot events
 		// at a time performs exactly one staging allocation per run.
 		//lint:ignore alloc-hotpath one-time staging-heap backing allocation, reused across every slot
-		w.staged = make([]int32, 0, 64)
+		w.staged = make([]stageKey, 0, 64)
 	}
-	w.staged = append(w.staged, idx)
-	i := len(w.staged) - 1
+	k := stageKey{at: n.ev.at, emit: n.ev.emit, seq: n.ev.seq, idx: idx}
+	w.staged = append(w.staged, k)
+	h := w.staged
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !w.stageLess(w.staged[i], w.staged[parent]) {
+		if !stageLess(&k, &h[parent]) {
 			break
 		}
-		w.staged[i], w.staged[parent] = w.staged[parent], w.staged[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = k
 }
 
+// stagePop removes the heap's minimum and returns its node index. The
+// tail key is sifted down from the root as a hole: each level moves the
+// smaller child up once instead of swapping.
 func (w *timerWheel) stagePop() int32 {
-	top := w.staged[0]
-	n := len(w.staged) - 1
-	w.staged[0] = w.staged[n]
-	w.staged = w.staged[:n]
+	h := w.staged
+	top := h[0].idx
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	w.staged = h
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && w.stageLess(w.staged[l], w.staged[min]) {
-			min = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r < n && w.stageLess(w.staged[r], w.staged[min]) {
-			min = r
+		if r := c + 1; r < n && stageLess(&h[r], &h[c]) {
+			c = r
 		}
-		if min == i {
-			return top
+		if !stageLess(&h[c], &last) {
+			break
 		}
-		w.staged[i], w.staged[min] = w.staged[min], w.staged[i]
-		i = min
+		h[i] = h[c]
+		i = c
 	}
+	h[i] = last
+	return top
 }
 
 // dropDeadStaged frees cancelled tombstones off the top of the staging
 // heap so peek always surfaces a live event.
 func (w *timerWheel) dropDeadStaged() {
 	for len(w.staged) > 0 {
-		top := w.staged[0]
+		top := w.staged[0].idx
 		if w.nodes[top-1].ev.kind != evDead {
 			return
 		}
@@ -334,7 +358,7 @@ func (w *timerWheel) advance() bool {
 				n := &w.nodes[idx-1]
 				next := n.next
 				n.level = stagedLevel
-				w.stagePush(idx)
+				w.stagePush(idx, n)
 				idx = next
 			}
 			return true
@@ -382,7 +406,7 @@ func (w *timerWheel) peek() int32 {
 	for {
 		w.dropDeadStaged()
 		if len(w.staged) > 0 {
-			return w.staged[0]
+			return w.staged[0].idx
 		}
 		if !w.advance() {
 			return 0
@@ -405,9 +429,8 @@ func (w *timerWheel) pop() event {
 // peekAt returns the timestamp of the next live event (and whether one
 // exists) — the wheel's replacement for reading the heap's root.
 func (w *timerWheel) peekAt() (simtime.Time, bool) {
-	idx := w.peek()
-	if idx == 0 {
+	if w.peek() == 0 {
 		return 0, false
 	}
-	return w.nodes[idx-1].ev.at, true
+	return w.staged[0].at, true
 }

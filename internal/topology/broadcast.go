@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 )
 
 // BroadcastTree is a shortest-path spanning tree rooted at Root, used to
@@ -47,60 +48,33 @@ func (t *BroadcastTree) LinkLoad(numLinks int) []int {
 // is a spanning tree in which each node sits at its BFS distance from src,
 // so broadcast time is minimal. rngSeed makes construction deterministic.
 //
+// This is the reference construction, one tree at a time. The FIB builds
+// the same trees (same RNG draws, same child order) in its compact form;
+// TestBroadcastFIBMatchesTrees holds the two together.
+//
 // It panics if count is outside [1, 256) since the wire format carries the
 // tree ID in one byte.
 func BuildBroadcastTrees(g *Graph, src NodeID, count int, rngSeed int64) []*BroadcastTree {
-	if count < 1 || count > 255 {
-		panic(fmt.Sprintf("topology: broadcast tree count %d out of [1,255]", count))
-	}
+	checkTreeCount(count)
 	rng := rand.New(rand.NewSource(rngSeed))
-	// The FIB builds a source's trees lazily on first lookup, which makes
-	// this function reachable from the emulator's data-path hotpath root —
-	// but only on the once-per-source miss path; the steady-state hit path
-	// never gets here, so the construction allocations below are amortised.
-	//lint:ignore alloc-hotpath once-per-source lazy tree construction; the FIB hit path is allocation-free
 	trees := make([]*BroadcastTree, count)
-	// Scratch shared by every tree of this source: per-vertex parent picks,
-	// per-parent child counts, and the candidate buffer. Building a FIB
-	// constructs sources × count trees, so per-vertex slice churn here
-	// dominated the simulator's setup allocations.
-	//lint:ignore alloc-hotpath once-per-source lazy tree construction; the FIB hit path is allocation-free
-	scratch := &treeScratch{
-		//lint:ignore alloc-hotpath once-per-source lazy tree construction; the FIB hit path is allocation-free
-		picks: make([]LinkID, g.Vertices()),
-		//lint:ignore alloc-hotpath once-per-source lazy tree construction; the FIB hit path is allocation-free
-		counts: make([]int, g.Vertices()),
-		//lint:ignore alloc-hotpath once-per-source lazy tree construction; the FIB hit path is allocation-free
-		candidates: make([]LinkID, 0, 8),
-	}
 	for i := 0; i < count; i++ {
-		trees[i] = buildOneTree(g, src, uint8(i), rng, scratch)
+		trees[i] = buildOneTree(g, src, uint8(i), rng)
 	}
 	return trees
 }
 
-type treeScratch struct {
-	picks      []LinkID // chosen parent link per vertex; -1 = not in tree
-	counts     []int    // children per parent vertex
-	candidates []LinkID
+func checkTreeCount(count int) {
+	if count < 1 || count > 255 {
+		panic(fmt.Sprintf("topology: broadcast tree count %d out of [1,255]", count))
+	}
 }
 
-func buildOneTree(g *Graph, src NodeID, id uint8, rng *rand.Rand, sc *treeScratch) *BroadcastTree {
-	//lint:ignore alloc-hotpath once-per-source lazy tree construction; the FIB hit path is allocation-free
-	t := &BroadcastTree{
-		Root: src,
-		ID:   id,
-		//lint:ignore alloc-hotpath once-per-source lazy tree construction; the FIB hit path is allocation-free
-		Children: make([][]LinkID, g.Vertices()),
-	}
-	for v := range sc.picks {
-		sc.picks[v] = -1
-		sc.counts[v] = 0
-	}
+func buildOneTree(g *Graph, src NodeID, id uint8, rng *rand.Rand) *BroadcastTree {
+	t := &BroadcastTree{Root: src, ID: id, Children: make([][]LinkID, g.Vertices())}
 	// For each non-root vertex pick a random parent among its predecessors
 	// at distance-1; this yields a shortest-path tree with randomised shape.
-	depth := 0
-	total := 0
+	var candidates []LinkID
 	for v := 0; v < g.Vertices(); v++ {
 		if NodeID(v) == src {
 			continue
@@ -109,46 +83,22 @@ func buildOneTree(g *Graph, src NodeID, id uint8, rng *rand.Rand, sc *treeScratc
 		if dv < 0 {
 			continue // unreachable vertices stay out of the tree
 		}
-		if dv > depth {
-			depth = dv
+		if dv > t.Depth {
+			t.Depth = dv
 		}
-		candidates := sc.candidates[:0]
+		candidates = candidates[:0]
 		for _, lid := range g.In(NodeID(v)) {
-			p := g.Link(lid).From
-			if g.Dist(src, p) == dv-1 {
+			if g.Dist(src, g.Link(lid).From) == dv-1 {
 				candidates = append(candidates, lid)
 			}
 		}
-		sc.candidates = candidates[:0]
 		if len(candidates) == 0 {
 			panic("topology: BFS invariant violated: reachable node without shortest-path parent")
 		}
 		pick := candidates[rng.Intn(len(candidates))]
-		sc.picks[v] = pick
-		sc.counts[g.Link(pick).From]++
-		total++
+		p := g.Link(pick).From
+		t.Children[p] = append(t.Children[p], pick)
 	}
-	// Bucket the picks into child lists carved out of one backing array
-	// instead of growing each parent's slice separately. Iterating vertices
-	// in ascending order preserves the original per-parent link order.
-	//lint:ignore alloc-hotpath once-per-source lazy tree construction; the FIB hit path is allocation-free
-	flat := make([]LinkID, 0, total)
-	off := 0
-	for p := 0; p < g.Vertices(); p++ {
-		if sc.counts[p] == 0 {
-			continue
-		}
-		t.Children[p] = flat[off : off : off+sc.counts[p]]
-		off += sc.counts[p]
-	}
-	for v := 0; v < g.Vertices(); v++ {
-		if sc.picks[v] < 0 {
-			continue
-		}
-		p := g.Link(sc.picks[v]).From
-		t.Children[p] = append(t.Children[p], sc.picks[v])
-	}
-	t.Depth = depth
 	return t
 }
 
@@ -161,78 +111,221 @@ func buildOneTree(g *Graph, src NodeID, id uint8, rng *rand.Rand, sc *treeScratc
 // FIB is O(sources × trees × vertices) memory — prohibitive at the 10k-node
 // multi-rack scale where only the sources that actually broadcast need
 // trees. A source's trees are seeded by rngSeed+src independent of build
-// order, so a lazy FIB forwards byte-identically to the old eager one.
-// Lookups are guarded by an RWMutex (read-locked on the hit path) because
-// the emulator's node goroutines share one FIB; the simulator's per-shard
-// FIBs see only uncontended locks.
+// order, so a lazy FIB forwards byte-identically to an eager one.
+//
+// Each source has one atomic slot holding all its trees in compressed
+// sparse row form (srcTrees). The first lookup of a source builds it under
+// mu and publishes it; every later lookup is one atomic load and two
+// offset reads, with no lock and no allocation. The emulator's node
+// goroutines share one FIB; the simulator's shards each own one.
 type BroadcastFIB struct {
-	mu             sync.RWMutex
-	trees          map[fibKey]*BroadcastTree
 	g              *Graph
 	treesPerSource int
+	stride         int // vertices+1: one tree's span of a srcTrees.off
 	rngSeed        int64
+	// linkMap translates g's link IDs to the physical port IDs stored in
+	// the trees (nil: g is the physical fabric).
+	linkMap []LinkID
+
+	slots []atomic.Pointer[srcTrees] // per endpoint source; nil until built
+
+	mu sync.Mutex // serialises builds and guards the scratch below
+	// Build scratch reused across sources: shortest-path parent
+	// candidates in CSR form (candOff[v]..candOff[v+1] into cand), each
+	// vertex's pick on the current tree (-1 = not in the tree), and the
+	// per-parent fill cursor.
+	cand    []LinkID
+	candOff []int32
+	picks   []LinkID
+	cursor  []int32
 }
 
-type fibKey struct {
-	src  NodeID
-	tree uint8
+// srcTrees holds every broadcast tree of one source in CSR form. With
+// stride = vertices+1, the children of vertex v on tree t are
+// links[off[t·stride+v] : off[t·stride+v+1]], in ascending child order.
+type srcTrees struct {
+	off   []int32
+	links []LinkID // physical port IDs
+	depth int      // shared by all trees: the source's eccentricity
 }
 
 // NewBroadcastFIB prepares a FIB serving treesPerSource broadcast trees for
 // every endpoint node; trees are built per source on first use.
 func NewBroadcastFIB(g *Graph, treesPerSource int, rngSeed int64) *BroadcastFIB {
+	return NewBroadcastFIBWithLinkMap(g, treesPerSource, rngSeed, nil)
+}
+
+// NewBroadcastFIBWithLinkMap is NewBroadcastFIB over a degraded fabric g
+// whose link IDs linkMap translates to physical ports (as returned by
+// Graph.WithoutLinksAndNodes). The trees are built over g, but NextHops and
+// Tree return physical link IDs: the translation happens once per source,
+// at build time, instead of on every forwarded packet. A nil linkMap means
+// g is the physical fabric.
+func NewBroadcastFIBWithLinkMap(g *Graph, treesPerSource int, rngSeed int64, linkMap []LinkID) *BroadcastFIB {
+	checkTreeCount(treesPerSource)
+	if linkMap != nil && len(linkMap) != g.NumLinks() {
+		panic(fmt.Sprintf("topology: link map has %d entries for %d links", len(linkMap), g.NumLinks()))
+	}
 	return &BroadcastFIB{
-		trees:          make(map[fibKey]*BroadcastTree),
 		g:              g,
 		treesPerSource: treesPerSource,
+		stride:         g.Vertices() + 1,
 		rngSeed:        rngSeed,
+		linkMap:        linkMap,
+		slots:          make([]atomic.Pointer[srcTrees], g.Nodes()),
 	}
 }
 
-// lookup returns the tree for <src, treeID>, building src's trees on first
-// access.
-func (f *BroadcastFIB) lookup(src NodeID, treeID uint8) (*BroadcastTree, bool) {
-	f.mu.RLock()
-	t, ok := f.trees[fibKey{src: src, tree: treeID}]
-	f.mu.RUnlock()
-	if ok || int(src) < 0 || int(src) >= f.g.Nodes() {
-		return t, ok
+// source returns src's trees, building them on first access, or nil for a
+// source outside the fabric's endpoints.
+func (f *BroadcastFIB) source(src NodeID) *srcTrees {
+	if uint(src) >= uint(len(f.slots)) {
+		return nil
 	}
+	if s := f.slots[src].Load(); s != nil {
+		return s
+	}
+	return f.build(src)
+}
+
+// build constructs all of src's trees exactly as BuildBroadcastTrees does —
+// same RNG, same draw order, same child order — and publishes them. The
+// shortest-path parent candidates depend only on the source, so they are
+// computed once and drawn from for every tree.
+func (f *BroadcastFIB) build(src NodeID) *srcTrees {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if t, ok = f.trees[fibKey{src: src, tree: 0}]; !ok {
-		for _, bt := range BuildBroadcastTrees(f.g, src, f.treesPerSource, f.rngSeed+int64(src)) {
-			f.trees[fibKey{src: src, tree: bt.ID}] = bt
+	if s := f.slots[src].Load(); s != nil {
+		return s // another goroutine built it while we waited
+	}
+	// The emulator's data path reaches this on the once-per-source miss
+	// only; the scratch below persists across sources, so the allocations
+	// are the published tree arrays plus amortised scratch growth.
+	g := f.g
+	vertices := g.Vertices()
+	if f.candOff == nil {
+		//lint:ignore alloc-hotpath once-per-FIB build scratch, reused by every later source
+		f.candOff = make([]int32, vertices+1)
+		//lint:ignore alloc-hotpath once-per-FIB build scratch, reused by every later source
+		f.picks = make([]LinkID, vertices)
+		//lint:ignore alloc-hotpath once-per-FIB build scratch, reused by every later source
+		f.cursor = make([]int32, vertices)
+	}
+	cand := f.cand[:0]
+	depth := 0
+	for v := 0; v < vertices; v++ {
+		f.candOff[v] = int32(len(cand))
+		dv := g.Dist(src, NodeID(v))
+		if NodeID(v) == src || dv < 0 {
+			continue // the root and unreachable vertices have no parent
+		}
+		if dv > depth {
+			depth = dv
+		}
+		for _, lid := range g.In(NodeID(v)) {
+			if g.Dist(src, g.Link(lid).From) == dv-1 {
+				cand = append(cand, lid)
+			}
+		}
+		if int(f.candOff[v]) == len(cand) {
+			panic("topology: BFS invariant violated: reachable node without shortest-path parent")
 		}
 	}
-	t, ok = f.trees[fibKey{src: src, tree: treeID}]
-	return t, ok
+	f.candOff[vertices] = int32(len(cand))
+	f.cand = cand
+	edges := 0
+	for v := 0; v < vertices; v++ {
+		if f.candOff[v+1] > f.candOff[v] {
+			edges++
+		}
+	}
+
+	stride := f.stride
+	//lint:ignore alloc-hotpath once-per-source lazy tree construction; the FIB hit path is allocation-free
+	s := &srcTrees{
+		//lint:ignore alloc-hotpath once-per-source lazy tree construction; the FIB hit path is allocation-free
+		off: make([]int32, f.treesPerSource*stride),
+		//lint:ignore alloc-hotpath once-per-source lazy tree construction; the FIB hit path is allocation-free
+		links: make([]LinkID, f.treesPerSource*edges),
+		depth: depth,
+	}
+	rng := rand.New(rand.NewSource(f.rngSeed + int64(src)))
+	for t := 0; t < f.treesPerSource; t++ {
+		off := s.off[t*stride : (t+1)*stride]
+		// Count each parent's children into off[p+1], prefix-sum the
+		// counts into offsets, then fill in ascending child order.
+		for v := 0; v < vertices; v++ {
+			c := cand[f.candOff[v]:f.candOff[v+1]]
+			if len(c) == 0 {
+				f.picks[v] = -1
+				continue
+			}
+			pick := c[rng.Intn(len(c))]
+			f.picks[v] = pick
+			off[g.Link(pick).From+1]++
+		}
+		off[0] = int32(t * edges)
+		for p := 1; p < stride; p++ {
+			off[p] += off[p-1]
+		}
+		copy(f.cursor, off[:vertices])
+		for _, pick := range f.picks {
+			if pick < 0 {
+				continue
+			}
+			p := g.Link(pick).From
+			if f.linkMap != nil {
+				pick = f.linkMap[pick]
+			}
+			s.links[f.cursor[p]] = pick
+			f.cursor[p]++
+		}
+	}
+	f.slots[src].Store(s)
+	return s
 }
 
 // NextHops returns the links on which node `at` must forward a broadcast
-// packet originated by src on tree treeID. It returns nil (forward nowhere)
-// for leaves, and ok=false for an unknown <src, tree> pair.
+// packet originated by src on tree treeID: physical port IDs, empty for
+// leaves. ok is false for an unknown <src, tree> pair. The returned slice
+// is shared FIB state and must not be modified.
 func (f *BroadcastFIB) NextHops(src NodeID, treeID uint8, at NodeID) ([]LinkID, bool) {
-	t, ok := f.lookup(src, treeID)
-	if !ok {
+	if int(treeID) >= f.treesPerSource {
 		return nil, false
 	}
-	return t.Children[at], true
+	s := f.source(src)
+	if s == nil {
+		return nil, false
+	}
+	off := s.off[int(treeID)*f.stride : (int(treeID)+1)*f.stride]
+	return s.links[off[at]:off[at+1]], true
 }
 
-// Tree returns the broadcast tree for <src, treeID>.
+// Tree returns the broadcast tree for <src, treeID>, assembled from the
+// FIB's compact form: Children alias the FIB's link array (read-only) and
+// hold physical port IDs.
 func (f *BroadcastFIB) Tree(src NodeID, treeID uint8) (*BroadcastTree, bool) {
-	return f.lookup(src, treeID)
+	if int(treeID) >= f.treesPerSource {
+		return nil, false
+	}
+	s := f.source(src)
+	if s == nil {
+		return nil, false
+	}
+	t := &BroadcastTree{Root: src, ID: treeID, Children: make([][]LinkID, f.stride-1), Depth: s.depth}
+	off := s.off[int(treeID)*f.stride:]
+	for v := range t.Children {
+		if off[v+1] > off[v] {
+			t.Children[v] = s.links[off[v]:off[v+1]:off[v+1]]
+		}
+	}
+	return t, true
 }
 
 // TreesPerSource reports how many trees exist for src.
 func (f *BroadcastFIB) TreesPerSource(src NodeID) int {
-	n := 0
-	for id := 0; id < 256; id++ {
-		if _, ok := f.lookup(src, uint8(id)); !ok {
-			break
-		}
-		n++
+	if uint(src) >= uint(len(f.slots)) {
+		return 0
 	}
-	return n
+	return f.treesPerSource
 }

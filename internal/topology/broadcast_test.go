@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -168,4 +170,126 @@ func TestBuildBroadcastTreesPanicsOnBadCount(t *testing.T) {
 		}
 	}()
 	BuildBroadcastTrees(g, 0, 0, 1)
+}
+
+// The FIB's compact per-source build must forward exactly like the
+// reference construction: same RNG draws, same tree shapes, same child
+// order, for every (src, tree, at) — and on a degraded fabric it must
+// return the reference trees' links translated to physical port IDs.
+func TestBroadcastFIBMatchesTrees(t *testing.T) {
+	g, err := NewTorus(4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lid := func(a, b NodeID) LinkID {
+		l, ok := g.LinkBetween(a, b)
+		if !ok {
+			t.Fatalf("no link %d-%d", a, b)
+		}
+		return l
+	}
+	failed := map[LinkID]bool{lid(0, 1): true, lid(1, 0): true, lid(5, 21): true, lid(21, 5): true}
+	sub, linkMap, err := g.WithoutLinksAndNodes(failed, map[NodeID]bool{42: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		g       *Graph
+		linkMap []LinkID
+	}{
+		{"intact", g, nil},
+		{"degraded", sub, linkMap},
+	}
+	for _, c := range cases {
+		const trees, seed = 4, 99
+		fib := NewBroadcastFIBWithLinkMap(c.g, trees, seed, c.linkMap)
+		for src := 0; src < c.g.Nodes(); src++ {
+			ref := BuildBroadcastTrees(c.g, NodeID(src), trees, seed+int64(src))
+			for tr := 0; tr < trees; tr++ {
+				for at := 0; at < c.g.Vertices(); at++ {
+					want := ref[tr].Children[at]
+					if c.linkMap != nil {
+						phys := make([]LinkID, len(want))
+						for i, l := range want {
+							phys[i] = c.linkMap[l]
+						}
+						want = phys
+					}
+					got, ok := fib.NextHops(NodeID(src), uint8(tr), NodeID(at))
+					if !ok || !equalLinks(got, want) {
+						t.Fatalf("%s src=%d tree=%d at=%d: NextHops = %v (ok=%v), want %v", c.name, src, tr, at, got, ok, want)
+					}
+				}
+				tree, ok := fib.Tree(NodeID(src), uint8(tr))
+				if !ok || tree.Depth != ref[tr].Depth || tree.ID != uint8(tr) || tree.Root != NodeID(src) {
+					t.Fatalf("%s src=%d tree=%d: Tree() = %+v (ok=%v), want depth %d", c.name, src, tr, tree, ok, ref[tr].Depth)
+				}
+			}
+		}
+	}
+}
+
+func equalLinks(a, b []LinkID) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// Concurrent first lookups of one source (the emulator's node goroutines
+// share a FIB) must all see the same published trees; run under -race.
+func TestBroadcastFIBConcurrentFirstLookup(t *testing.T) {
+	g, err := NewTorus(4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const trees, workers = 3, 8
+	fib := NewBroadcastFIB(g, trees, 5)
+	ref := NewBroadcastFIB(g, trees, 5)
+	var wg sync.WaitGroup
+	errs := make(chan string, workers)
+	start := make(chan struct{})
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			for src := 0; src < g.Nodes(); src++ {
+				tr := uint8((src + w) % trees)
+				for at := 0; at < g.Vertices(); at++ {
+					got, ok := fib.NextHops(NodeID(src), tr, NodeID(at))
+					want, _ := ref.NextHops(NodeID(src), tr, NodeID(at))
+					if !ok || !equalLinks(got, want) {
+						errs <- fmt.Sprintf("worker %d src=%d tree=%d at=%d: %v, want %v", w, src, tr, at, got, want)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
+
+// The lookup hit path is lock- and allocation-free.
+func TestBroadcastFIBNextHopsAllocFree(t *testing.T) {
+	g, err := NewTorus(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fib := NewBroadcastFIB(g, 2, 1)
+	fib.NextHops(3, 1, 0) // build source 3
+	if n := testing.AllocsPerRun(100, func() { fib.NextHops(3, 1, 7) }); n != 0 {
+		t.Fatalf("NextHops allocates %v times per hit", n)
+	}
 }

@@ -16,14 +16,21 @@
 //
 //	r2c2-sim -interrack -racks 4 -k 3 -shards 4
 //	r2c2-sim -interrack -racks 40 -k 16 -shards 0 -flows 4000 -horizon 5ms -csv
+//
+// -cpuprofile and -memprofile write runtime/pprof profiles of any mode,
+// for `go tool pprof`:
+//
+//	r2c2-sim -fig10 -k 8 -flows 5000 -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -63,36 +70,112 @@ func run(args []string, stdout io.Writer) error {
 		shards    = fs.Int("shards", 0, "interrack: sharded-engine worker cap (0 = NumCPU, 1 = the serial oracle; the mix results are identical at any setting)")
 		mixes     = fs.String("mixes", "0,0.25,0.5,1", "interrack: comma-separated inter-rack flow fractions")
 		horizon   = fs.Duration("horizon", 50*time.Millisecond, "interrack: simulated-time horizon per run")
+
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProfile = fs.String("memprofile", "", "write a heap profile to this file when the run ends")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *faultArg != "" {
-		return runFaults(stdout, *faultArg, *k, *seed, *csv)
-	}
-	if *interrack {
-		return runInterRack(stdout, interRackArgs{
+	// Every mode is validated before anything runs, so a bad flag is an
+	// error message rather than a panic deep inside a harness.
+	var mode func() error
+	switch {
+	case *faultArg != "":
+		if err := experiments.CheckTorus(*k, 2, 1); err != nil {
+			return err // the fault sweep runs on a k×k 2D torus
+		}
+		mode = func() error { return runFaults(stdout, *faultArg, *k, *seed, *csv) }
+	case *interrack:
+		cfg, err := interRackConfig(interRackArgs{
 			racks: *racks, k: *k, bridges: *bridges, shards: *shards,
 			flows: *flows, tauUs: *tauUs, seed: *seed, reliable: *reliable,
-			mixes: *mixes, horizon: *horizon, csv: *csv,
+			mixes: *mixes, horizon: *horizon,
 		})
+		if err != nil {
+			return err
+		}
+		mode = func() error { return runInterRack(stdout, cfg, *horizon, *csv) }
+	default:
+		s := experiments.TestScale()
+		s.K, s.Dims, s.Flows, s.Seed = *k, *dims, *flows, *seed
+		s.Reliable = *reliable
+		s.Parallel = *parallel
+		if err := s.Validate(); err != nil {
+			return err
+		}
+		tau, err := tauFlag(*tauUs)
+		if err != nil {
+			return err
+		}
+		if !*fig10 && !*fig12 && !*fig17 {
+			*fig10, *fig12, *fig17 = true, true, true
+		}
+		mode = func() error {
+			runFigures(stdout, s, tau, *fig10, *fig12, *fig17, *csv)
+			return nil
+		}
 	}
-	if !*fig10 && !*fig12 && !*fig17 {
-		*fig10, *fig12, *fig17 = true, true, true
-	}
+	return profiled(*cpuProfile, *memProfile, mode)
+}
 
-	s := experiments.TestScale()
-	s.K, s.Dims, s.Flows, s.Seed = *k, *dims, *flows, *seed
-	s.Reliable = *reliable
-	s.Parallel = *parallel
-	tau := simtime.FromSeconds(*tauUs * 1e-6)
+// tauFlag converts the -tau flag (microseconds) to simulated time, which
+// must be positive.
+func tauFlag(us float64) (simtime.Time, error) {
+	tau := simtime.FromSeconds(us * 1e-6)
+	if !(us > 0) || math.IsInf(us, 0) || tau <= 0 {
+		return 0, fmt.Errorf("-tau %v: mean inter-arrival time must be a positive number of microseconds", us)
+	}
+	return tau, nil
+}
+
+// profiled runs fn under the requested runtime/pprof profiles: a CPU
+// profile spanning fn, and a heap profile written after it returns (after
+// a GC, so it shows live memory at the end of the run).
+func profiled(cpuPath, memPath string, fn func() error) (err error) {
+	if cpuPath != "" {
+		f, cerr := os.Create(cpuPath)
+		if cerr != nil {
+			return cerr
+		}
+		if cerr := pprof.StartCPUProfile(f); cerr != nil {
+			f.Close()
+			return cerr
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
+	}
+	if err := fn(); err != nil {
+		return err
+	}
+	if memPath != "" {
+		f, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		runtime.GC()
+		werr := pprof.WriteHeapProfile(f)
+		if cerr := f.Close(); werr == nil {
+			werr = cerr
+		}
+		return werr
+	}
+	return nil
+}
+
+// runFigures runs the selected §5.2 figure harnesses at scale s.
+func runFigures(stdout io.Writer, s experiments.Scale, tau simtime.Time, fig10, fig12, fig17, csv bool) {
 	fmt.Fprintf(stdout, "topology: %d-ary %d-cube (%d nodes), %d flows, tau=%v\n\n",
 		s.K, s.Dims, s.Torus().Nodes(), s.Flows, tau)
 
-	if *fig10 {
+	if fig10 {
 		res := experiments.Fig10and11(s, tau)
-		render(stdout, res.ShortFCTTable(), *csv)
-		render(stdout, res.LongThroughputTable(), *csv)
+		render(stdout, res.ShortFCTTable(), csv)
+		render(stdout, res.LongThroughputTable(), csv)
 		for _, run := range res.Runs {
 			fmt.Fprintf(stdout, "%-5s completed %d/%d flows, drops=%d, events=%d, simulated %v\n",
 				run.Transport, run.Results.Completed,
@@ -102,19 +185,18 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintln(stdout)
 	}
 
-	if *fig12 {
+	if fig12 {
 		taus := []simtime.Time{tau, 2 * tau, 10 * tau, 100 * tau}
 		res := experiments.Fig12to14(s, taus)
-		render(stdout, res.Fig12Table(), *csv)
-		render(stdout, res.Fig13Table(), *csv)
-		render(stdout, res.Fig14Table(), *csv)
+		render(stdout, res.Fig12Table(), csv)
+		render(stdout, res.Fig13Table(), csv)
+		render(stdout, res.Fig14Table(), csv)
 	}
 
-	if *fig17 {
+	if fig17 {
 		res := experiments.Fig17(s, tau, []float64{0, 0.01, 0.05, 0.10, 0.20})
-		render(stdout, res.Table(), *csv)
+		render(stdout, res.Table(), csv)
 	}
-	return nil
 }
 
 // runFaults replays a fault schedule on the packet-level simulator (the
@@ -150,17 +232,19 @@ type interRackArgs struct {
 	reliable                         bool
 	mixes                            string
 	horizon                          time.Duration
-	csv                              bool
 }
 
-// runInterRack drives the intra- vs inter-rack traffic-mix sweep on the
-// sharded engine (DESIGN.md §14) and prints the mix table plus the
-// per-shard utilisation table — the CI shards-smoke artifact.
-func runInterRack(stdout io.Writer, a interRackArgs) error {
+// interRackConfig builds and validates the interrack sweep's configuration
+// from the flags.
+func interRackConfig(a interRackArgs) (experiments.InterRackConfig, error) {
 	cfg := experiments.DefaultInterRack()
 	cfg.Racks, cfg.K, cfg.Bridges = a.racks, a.k, a.bridges
 	cfg.Flows, cfg.Seed, cfg.Reliable = a.flows, a.seed, a.reliable
-	cfg.Tau = simtime.FromSeconds(a.tauUs * 1e-6)
+	tau, err := tauFlag(a.tauUs)
+	if err != nil {
+		return cfg, err
+	}
+	cfg.Tau = tau
 	cfg.Horizon = simtime.FromSeconds(a.horizon.Seconds())
 	cfg.Shards = a.shards
 	if cfg.Shards == 0 {
@@ -172,15 +256,22 @@ func runInterRack(stdout io.Writer, a interRackArgs) error {
 	cfg.Mixes = cfg.Mixes[:0]
 	for _, f := range strings.Split(a.mixes, ",") {
 		mix, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || mix < 0 || mix > 1 {
-			return fmt.Errorf("-mixes: bad fraction %q", f)
+		if err != nil || !(mix >= 0 && mix <= 1) {
+			return cfg, fmt.Errorf("-mixes: bad fraction %q", f)
 		}
 		cfg.Mixes = append(cfg.Mixes, mix)
 	}
-	fmt.Fprintf(stdout, "interrack sweep: %v, horizon=%v\n\n", cfg, a.horizon)
+	return cfg, cfg.Validate()
+}
+
+// runInterRack drives the intra- vs inter-rack traffic-mix sweep on the
+// sharded engine (DESIGN.md §14) and prints the mix table plus the
+// per-shard utilisation table — the CI shards-smoke artifact.
+func runInterRack(stdout io.Writer, cfg experiments.InterRackConfig, horizon time.Duration, csv bool) error {
+	fmt.Fprintf(stdout, "interrack sweep: %v, horizon=%v\n\n", cfg, horizon)
 	res := experiments.InterRack(cfg)
-	render(stdout, res.MixTable(), a.csv)
-	render(stdout, res.ShardUtilTable(), a.csv)
+	render(stdout, res.MixTable(), csv)
+	render(stdout, res.ShardUtilTable(), csv)
 	return nil
 }
 

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -45,5 +47,75 @@ func TestRunFaultsBadSchedule(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-faults", "down@10ms:0-99/2ms"}, &out); err == nil {
 		t.Fatal("schedule with out-of-range node accepted")
+	}
+}
+
+// TestRunRejectsBadFlags: every flag value a harness cannot run must come
+// back as an error naming the problem, before any simulation starts —
+// never as a panic from deep inside topology, trafficgen or experiments.
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-k", "1"}, "k >= 2"},
+		{[]string{"-dims", "0"}, "dims >= 1"},
+		{[]string{"-k", "8", "-dims", "7"}, "16-bit addresses"},
+		{[]string{"-flows", "0"}, "at least one flow"},
+		{[]string{"-tau", "0"}, "-tau"},
+		{[]string{"-tau", "-3"}, "-tau"},
+		{[]string{"-tau", "NaN"}, "-tau"},
+		{[]string{"-faults", "gen:1", "-k", "1"}, "k >= 2"},
+		{[]string{"-faults", "gen:1", "-k", "300"}, "16-bit addresses"},
+		{[]string{"-interrack", "-racks", "1"}, "at least two racks"},
+		{[]string{"-interrack", "-bridges", "0"}, "at least one bridge"},
+		{[]string{"-interrack", "-k", "2", "-bridges", "5"}, "exceed the 4 nodes"},
+		{[]string{"-interrack", "-k", "2", "-racks", "2"}, "duplicate edge"},
+		{[]string{"-interrack", "-flows", "0"}, "at least one flow"},
+		{[]string{"-interrack", "-tau", "0"}, "-tau"},
+		{[]string{"-interrack", "-horizon", "-1ms"}, "horizon must be positive"},
+		{[]string{"-interrack", "-k", "1"}, "k >= 2"},
+	} {
+		var out bytes.Buffer
+		err := func() (err error) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%v: panicked: %v", tc.args, p)
+				}
+			}()
+			return run(tc.args, &out)
+		}()
+		if err == nil {
+			t.Errorf("%v: accepted", tc.args)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: error %q does not mention %q", tc.args, err, tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: printed output before rejecting the flags:\n%s", tc.args, out.String())
+		}
+	}
+}
+
+// TestRunProfiles writes both profiles for a tiny run and checks they are
+// non-empty files.
+func TestRunProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	var out bytes.Buffer
+	args := []string{"-fig17", "-k", "3", "-dims", "2", "-flows", "10", "-tau", "20",
+		"-cpuprofile", cpu, "-memprofile", mem}
+	if err := run(args, &out); err != nil {
+		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
+	}
+	for _, p := range []string{cpu, mem} {
+		st, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Size() == 0 {
+			t.Errorf("%s is empty", p)
+		}
 	}
 }

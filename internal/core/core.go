@@ -12,8 +12,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"r2c2/internal/routing"
@@ -166,10 +167,10 @@ func (v *View) RemoveFlow(id wire.FlowID) { v.remove(id) }
 
 func (v *View) upsert(info FlowInfo) {
 	if old, ok := v.flows[info.ID]; ok {
-		v.hash ^= flowHash(old)
+		v.hash ^= FlowHash(old)
 	}
 	v.flows[info.ID] = info
-	v.hash ^= flowHash(info)
+	v.hash ^= FlowHash(info)
 	v.version++
 }
 
@@ -178,7 +179,7 @@ func (v *View) remove(id wire.FlowID) {
 	if !ok {
 		return
 	}
-	v.hash ^= flowHash(old)
+	v.hash ^= FlowHash(old)
 	delete(v.flows, id)
 	v.version++
 }
@@ -191,12 +192,20 @@ func (v *View) Flows() []FlowInfo {
 	for _, f := range v.flows {
 		out = append(out, f)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, compareID)
 	return out
 }
 
-// flowHash digests one flow entry for the order-independent view hash.
-func flowHash(f FlowInfo) uint64 {
+// SortByID sorts flow entries by ascending flow ID, the canonical view
+// order.
+func SortByID(flows []FlowInfo) { slices.SortFunc(flows, compareID) }
+
+func compareID(a, b FlowInfo) int { return cmp.Compare(a.ID, b.ID) }
+
+// FlowHash digests one flow entry for the order-independent view hash: a
+// view's hash is the XOR of FlowHash over its entries, so any structure
+// holding the same flow set reports the same digest.
+func FlowHash(f FlowInfo) uint64 {
 	h := uint64(f.ID)<<32 | uint64(f.DemandKbps)
 	h ^= uint64(f.Weight)<<8 | uint64(f.Priority)<<16 | uint64(f.Protocol)<<24
 	// splitmix64 finalizer.
@@ -222,7 +231,7 @@ func flowHash(f FlowInfo) uint64 {
 // sim package). It is not safe for concurrent mutation.
 type DemandSummary struct {
 	Flows []FlowInfo // sorted by flow ID
-	Hash  uint64     // XOR of flowHash over Flows; equals View.Hash() of the same set
+	Hash  uint64     // XOR of FlowHash over Flows; equals View.Hash() of the same set
 
 	scratch []FlowInfo // merge buffer, reused across ticks
 }
@@ -243,7 +252,7 @@ func (s *DemandSummary) Add(f FlowInfo) {
 		panic("core: DemandSummary.Add out of order — sourced flow sets must be disjoint and sorted")
 	}
 	s.Flows = append(s.Flows, f)
-	s.Hash ^= flowHash(f)
+	s.Hash ^= FlowHash(f)
 }
 
 // Merge folds another summary into this one: a sorted merge of the flow
@@ -374,11 +383,22 @@ func (rc *RateComputer) spec(f *FlowInfo) waterfill.Flow {
 // rebuild. Each node then rate-limits its own flows to their allocated
 // values (§3.3).
 func (rc *RateComputer) Compute(v *View) *Allocation {
-	if rc.last != nil && rc.last.ViewHash == v.Hash() && len(rc.prev) == v.Len() {
-		rc.CacheHits++
-		return rc.last
+	if a, ok := rc.Cached(v.Hash(), v.Len()); ok {
+		return a
 	}
-	return rc.computeSorted(v.Flows(), v.Hash())
+	return rc.ComputeSorted(v.Flows(), v.Hash())
+}
+
+// Cached answers a computation from the ViewHash shortcut alone: it returns
+// the previous allocation when it was computed over a flow set of n flows
+// with the given digest. Callers that assemble their flow list on demand
+// check it first and build the list only on a miss.
+func (rc *RateComputer) Cached(hash uint64, n int) (*Allocation, bool) {
+	if rc.last != nil && rc.last.ViewHash == hash && len(rc.prev) == n {
+		rc.CacheHits++
+		return rc.last, true
+	}
+	return nil, false
 }
 
 // ComputeSummary is Compute over a tree-reduced DemandSummary instead of a
@@ -389,17 +409,18 @@ func (rc *RateComputer) Compute(v *View) *Allocation {
 // slice is cloned because the delta state retains it across calls while the
 // caller rebuilds the summary every tick.
 func (rc *RateComputer) ComputeSummary(s *DemandSummary) *Allocation {
-	if rc.last != nil && rc.last.ViewHash == s.Hash && len(rc.prev) == len(s.Flows) {
-		rc.CacheHits++
-		return rc.last
+	if a, ok := rc.Cached(s.Hash, len(s.Flows)); ok {
+		return a
 	}
-	return rc.computeSorted(append([]FlowInfo(nil), s.Flows...), s.Hash)
+	return rc.ComputeSorted(append([]FlowInfo(nil), s.Flows...), s.Hash)
 }
 
-// computeSorted is the shared delta-driven body of Compute and
-// ComputeSummary: cur must be sorted by flow ID, hash its order-independent
-// digest, and ownership of cur transfers to the computer.
-func (rc *RateComputer) computeSorted(cur []FlowInfo, hash uint64) *Allocation {
+// ComputeSorted is the shared delta-driven body of Compute and
+// ComputeSummary, exported for callers that hold a view in another shape:
+// cur must be sorted by flow ID and hash its order-independent digest (XOR
+// of FlowHash). Ownership of cur transfers to the computer. It always
+// computes; check Cached first to take the ViewHash shortcut.
+func (rc *RateComputer) ComputeSorted(cur []FlowInfo, hash uint64) *Allocation {
 	// Count the diff first: both slices are sorted by flow ID, so a
 	// two-pointer sweep enumerates adds, removes and updates
 	// deterministically (no map-iteration order anywhere on this path).

@@ -15,6 +15,7 @@ import (
 
 	"r2c2/internal/simtime"
 	"r2c2/internal/topology"
+	"r2c2/internal/wire"
 )
 
 // Scale fixes the experiment size.
@@ -45,6 +46,37 @@ func PaperScale() Scale {
 func TestScale() Scale {
 	return Scale{K: 4, Dims: 3, LinkGbps: 10, PropLat: 100 * simtime.Nanosecond,
 		Flows: 1200, Tau: 4 * simtime.Microsecond, Seed: 1}
+}
+
+// Validate reports a scale no harness can run: a degenerate torus, one
+// too large for the 16-bit wire addresses, or an empty workload.
+func (s Scale) Validate() error {
+	if err := CheckTorus(s.K, s.Dims, 1); err != nil {
+		return err
+	}
+	if s.Flows < 1 {
+		return fmt.Errorf("experiments: need at least one flow (got %d)", s.Flows)
+	}
+	if s.Tau <= 0 {
+		return fmt.Errorf("experiments: mean inter-arrival time must be positive (got %v)", s.Tau)
+	}
+	return nil
+}
+
+// CheckTorus validates copies k-ary dims-cube tori: k >= 2, dims >= 1, and
+// at most wire.MaxNodes nodes in all (checked without overflowing).
+func CheckTorus(k, dims, copies int) error {
+	if k < 2 || dims < 1 {
+		return fmt.Errorf("experiments: torus requires k >= 2, dims >= 1 (got k=%d dims=%d)", k, dims)
+	}
+	n := copies
+	for d := 0; d < dims; d++ {
+		if n > wire.MaxNodes/k {
+			return fmt.Errorf("experiments: %d x %d-ary %d-cube exceeds the %d nodes 16-bit addresses can name", copies, k, dims, wire.MaxNodes)
+		}
+		n *= k
+	}
+	return nil
 }
 
 // Torus builds the scale's topology.

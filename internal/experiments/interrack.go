@@ -55,14 +55,55 @@ func DefaultInterRack() InterRackConfig {
 	}
 }
 
+// Validate reports a configuration InterRack cannot run: fewer than two
+// racks, no bridges, a degenerate or oversized fabric (including bridge
+// layouts ConnectRacks rejects, such as duplicate cables), an empty
+// workload, a non-positive horizon or a mix fraction outside [0, 1].
+func (c InterRackConfig) Validate() error {
+	switch {
+	case c.Racks < 2:
+		return fmt.Errorf("experiments: interrack needs at least two racks (got %d)", c.Racks)
+	case c.Bridges < 1:
+		return fmt.Errorf("experiments: interrack needs at least one bridge per rack pair (got %d)", c.Bridges)
+	case c.Flows < 1:
+		return fmt.Errorf("experiments: need at least one flow (got %d)", c.Flows)
+	case c.Tau <= 0:
+		return fmt.Errorf("experiments: mean inter-arrival time must be positive (got %v)", c.Tau)
+	case c.Horizon <= 0:
+		return fmt.Errorf("experiments: horizon must be positive (got %v)", c.Horizon)
+	}
+	for _, mix := range c.Mixes {
+		if !(mix >= 0 && mix <= 1) {
+			return fmt.Errorf("experiments: mix fraction %v outside [0, 1]", mix)
+		}
+	}
+	if err := CheckTorus(c.K, 2, c.Racks); err != nil {
+		return err
+	}
+	if c.Bridges > c.K*c.K {
+		return fmt.Errorf("experiments: %d bridges per rack pair exceed the %d nodes of a rack", c.Bridges, c.K*c.K)
+	}
+	_, err := c.fabric()
+	return err
+}
+
 // Fabric builds the multi-rack ring: Racks K×K tori, each joined to its
-// ring successor by Bridges cables spread around the rack perimeter.
+// ring successor by Bridges cables spread around the rack perimeter. It
+// panics on a configuration Validate rejects.
 func (c InterRackConfig) Fabric() *topology.Graph {
+	g, err := c.fabric()
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+func (c InterRackConfig) fabric() (*topology.Graph, error) {
 	subs := make([]*topology.Graph, c.Racks)
 	for i := range subs {
 		g, err := topology.NewTorus(c.K, 2)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		subs[i] = g
 	}
@@ -83,11 +124,7 @@ func (c InterRackConfig) Fabric() *topology.Graph {
 			})
 		}
 	}
-	g, err := topology.ConnectRacks(subs, bridges)
-	if err != nil {
-		panic(err)
-	}
-	return g
+	return topology.ConnectRacks(subs, bridges)
 }
 
 // arrivals generates the workload for one mix fraction: the base Poisson

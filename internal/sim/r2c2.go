@@ -124,15 +124,10 @@ type R2C2 struct {
 	// periodic recomputation stays off the per-tick allocation budget.
 	tickCache map[uint64]*core.Allocation
 
-	// finished remembers which nodes have applied each flow's finish
-	// broadcast, so that a §3.2-retransmitted start arriving after the
-	// finish cannot resurrect a dead flow in that node's view. finished[src]
-	// is a bitset of finWords words per flow sequence number: node at's bit
-	// for flow (src, seq) is in word seq·finWords + at/64. A finish flood
-	// sets one bit per node it reaches, all within one flow's adjacent
-	// words, so the broadcast hop pays no hash probe or map growth.
-	finished [][]uint64
-	finWords int
+	// views holds every owned node's view of the traffic matrix, flow-major
+	// (viewtable.go): a broadcast hop updates one cell of the flow's row and
+	// the node's digest, with no per-node map probe.
+	views *viewTable
 
 	// flowIDScratch is the reusable key buffer for sorted iteration over a
 	// node's flow map: recomputeTick and rerouteNow schedule events per
@@ -162,7 +157,7 @@ func (r *R2C2) sortedFlowIDs(flows map[wire.FlowID]*senderFlow) []wire.FlowID {
 //r2c2:shardowned — per-node state is mutated only by the engine goroutine.
 type r2c2Node struct {
 	id       topology.NodeID
-	view     *core.View
+	col      int32 // the node's column in R2C2.views
 	flows    map[wire.FlowID]*senderFlow
 	nextSeq  uint16
 	nextTree uint8
@@ -249,20 +244,21 @@ func NewR2C2(net *Network, tab *routing.Table, cfg R2C2Config) *R2C2 {
 		ledger: newFlowLedger(),
 		sh:     net.sh,
 	}
+	r.views = newViewTable(net.G.Nodes(), func(n topology.NodeID) bool {
+		return r.sh == nil || r.sh.shardOf[n] == r.sh.self
+	})
 	r.nodes = make([]*r2c2Node, net.G.Nodes())
 	for i := range r.nodes {
-		if r.sh != nil && r.sh.shardOf[i] != r.sh.self {
+		if r.views.col[i] < 0 {
 			continue // another shard owns this node's state
 		}
 		r.nodes[i] = &r2c2Node{
 			id:    topology.NodeID(i),
-			view:  core.NewView(),
+			col:   r.views.col[i],
 			flows: make(map[wire.FlowID]*senderFlow),
 			recv:  make(map[wire.FlowID]*reorderState),
 		}
 	}
-	r.finished = make([][]uint64, net.G.Nodes())
-	r.finWords = (net.G.Nodes() + 63) / 64
 	r.failedLinks = make(map[topology.LinkID]bool)
 	r.deadNodes = make(map[topology.NodeID]bool)
 	net.Deliver = r.deliver
@@ -489,19 +485,14 @@ func (r *R2C2) reroute(sub *topology.Graph, mapping []topology.LinkID) {
 	r.gen++ // invalidate interned routes computed over the old fabric
 	// Purge flows involving dead nodes BEFORE rebuilding, so the
 	// re-announce loop never routes toward an unreachable endpoint and no
-	// view keeps bandwidth reserved for a crashed node's flows.
+	// view keeps bandwidth reserved for a crashed node's flows: one pass
+	// over the live flows.
 	if len(r.deadNodes) > 0 {
-		for _, n := range r.nodes {
-			if n == nil {
-				continue // owned by another shard
+		r.views.purgeEndpoints(r.deadNodes, func(id wire.FlowID) {
+			if n := r.nodes[id.Src()]; n != nil {
+				delete(n.flows, id) // abandon senders to dead nodes
 			}
-			for _, info := range n.view.Flows() {
-				if r.deadNodes[info.Src] || r.deadNodes[info.Dst] {
-					n.view.RemoveFlow(info.ID)
-					delete(n.flows, info.ID) // abandon senders to dead nodes
-				}
-			}
-		}
+		})
 	}
 	r.Tab = routing.NewTable(sub)
 	r.Fib = topology.NewBroadcastFIBWithLinkMap(sub, r.Cfg.TreesPerSource, r.Cfg.Seed, mapping)
@@ -526,8 +517,16 @@ func (r *R2C2) reroute(sub *topology.Graph, mapping []topology.LinkID) {
 // Ledger exposes the flow records for results collection.
 func (r *R2C2) Ledger() map[wire.FlowID]*FlowRecord { return r.ledger.records }
 
-// View returns a node's traffic-matrix view (for tests and inspection).
-func (r *R2C2) View(node topology.NodeID) *core.View { return r.nodes[node].view }
+// View returns a read-only accessor for a node's traffic-matrix view (for
+// tests, inspection and the §3.4 selector). In a sharded run only the
+// nodes this instance's shard owns have a view.
+func (r *R2C2) View(node topology.NodeID) NodeView {
+	c := r.views.col[node]
+	if c < 0 {
+		panic(fmt.Sprintf("sim: node %d's view belongs to another shard", node))
+	}
+	return NodeView{t: r.views, c: c}
+}
 
 // StartFlow begins a flow of sizeBytes from src to dst at the current
 // simulated time: the sender updates its own view, broadcasts the start
@@ -584,7 +583,7 @@ func (r *R2C2) StartHostLimitedFlow(src, dst topology.NodeID, sizeBytes int64, w
 		totalPkts: uint32((sizeBytes + MaxPayload - 1) / MaxPayload),
 	}
 	node.flows[id] = sf
-	node.view.AddFlow(info)
+	r.views.upsert(node.col, info)
 	r.ledger.open(id, src, dst, sizeBytes, r.Net.Eng.Now())
 	r.broadcast(node, info.StartBroadcast(r.pickTree(node)))
 	r.armSender(node, sf)
@@ -609,7 +608,7 @@ func (r *R2C2) UpdateDemand(id wire.FlowID, demandBits float64) {
 	} else {
 		sf.info.DemandKbps = core.UnlimitedDemand
 	}
-	node.view.AddFlow(sf.info)
+	r.views.upsert(node.col, sf.info)
 	r.broadcast(node, sf.info.DemandBroadcast(r.pickTree(node)))
 }
 
@@ -625,7 +624,7 @@ func (r *R2C2) SetProtocol(id wire.FlowID, p routing.Protocol) {
 		return
 	}
 	sf.info.Protocol = p
-	node.view.AddFlow(sf.info)
+	r.views.upsert(node.col, sf.info)
 	r.broadcast(node, sf.info.RouteChangeBroadcast(r.pickTree(node)))
 }
 
@@ -657,27 +656,6 @@ func (r *R2C2) broadcastHops(at topology.NodeID, pkt *Packet) []topology.LinkID 
 		return nil
 	}
 	return hops // the FIB stores physical port IDs
-}
-
-// finishedAt reports whether node at has applied flow f's finish broadcast.
-func (r *R2C2) finishedAt(f wire.FlowID, at topology.NodeID) bool {
-	bits := r.finished[f.Src()]
-	i := int(f.Seq())*r.finWords + int(at)>>6
-	return i < len(bits) && bits[i]&(1<<(uint(at)&63)) != 0
-}
-
-// markFinished records that node at has applied flow f's finish broadcast.
-func (r *R2C2) markFinished(f wire.FlowID, at topology.NodeID) {
-	bits := r.finished[f.Src()]
-	i := int(f.Seq())*r.finWords + int(at)>>6
-	if i >= len(bits) {
-		// Cover the flow's words; append's growth amortises a source's
-		// sequence numbers arriving in order.
-		//lint:ignore alloc-hotpath amortised growth: one flow's bits are allocated once, by its first finish
-		bits = append(bits, make([]uint64, (int(f.Seq())+1)*r.finWords-len(bits))...)
-		r.finished[f.Src()] = bits
-	}
-	bits[i] |= 1 << (uint(at) & 63)
 }
 
 // armSender schedules the flow's next packet transmission according to its
@@ -792,7 +770,7 @@ func (r *R2C2) sendNext(sf *senderFlow) {
 // finishSender retires a flow at its source and broadcasts the finish.
 func (r *R2C2) finishSender(node *r2c2Node, sf *senderFlow) {
 	r.ledger.get(sf.info.ID).SenderDone = true
-	node.view.RemoveFlow(sf.info.ID)
+	r.views.remove(node.col, sf.info.ID)
 	delete(node.flows, sf.info.ID)
 	r.broadcast(node, sf.info.FinishBroadcast(r.pickTree(node)))
 }
@@ -877,17 +855,7 @@ func (r *R2C2) deliver(at topology.NodeID, pkt *Packet) {
 			// The origin mutated its own view before broadcasting (§3.1).
 			return
 		}
-		switch pkt.Bcast.Event {
-		case wire.EventFlowFinish:
-			r.markFinished(pkt.Bcast.Flow(), at)
-		case wire.EventFlowStart:
-			if r.finishedAt(pkt.Bcast.Flow(), at) {
-				return // a retransmitted start racing its own finish
-			}
-		}
-		if err := r.nodes[at].view.Apply(pkt.Bcast); err != nil {
-			panic(err)
-		}
+		r.views.apply(r.views.col[at], pkt.Bcast)
 	case KindData:
 		r.receiveData(at, pkt)
 	case KindAck:
@@ -1070,13 +1038,17 @@ func (r *R2C2) rearmFromViews(global *core.Allocation) {
 		if node == nil || len(node.flows) == 0 {
 			continue
 		}
-		h := node.view.Hash()
+		h := r.views.digest[node.col]
 		alloc, ok := r.tickCache[h]
 		if !ok {
 			if global != nil && h == global.ViewHash {
 				alloc = global
+			} else if a, hit := r.rc.Cached(h, int(r.views.count[node.col])); hit {
+				alloc = a
 			} else {
-				alloc = r.rc.Compute(node.view)
+				// Only a miss of both caches assembles the node's sorted
+				// flow list from the table.
+				alloc = r.rc.ComputeSorted(r.views.flows(node.col), h)
 			}
 			r.tickCache[h] = alloc
 			r.Recomputations++

@@ -59,6 +59,7 @@ const (
 	DataHeaderSize = 36        // fixed data-packet header incl. 128-bit route
 	MaxRouteHops   = 42        // 128 bits / 3 bits per hop
 	MaxPorts       = 8         // 3-bit port selector => at most 8 links per node
+	MaxNodes       = 1 << 16   // node addresses (broadcast src/dst, FlowID source) are 16 bits
 	AckSize        = 16        // fixed acknowledgement size
 	MaxPayload     = 64 * 1024 // plen is 16 bits
 )
